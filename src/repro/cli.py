@@ -43,11 +43,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.core.aion import Aion, AionConfig
-from repro.core.aion_ser import AionSer
 from repro.core.chronos import Chronos
 from repro.core.chronos_ser import ChronosSer
-from repro.core.sharded import ShardedAion
 from repro.db.faults import HistoryFaultInjector, SkewedOracle
 from repro.db.oracle import CentralizedOracle
 from repro.histories.serialization import load_history, save_history
@@ -56,6 +53,7 @@ from repro.online.clock import SimClock
 from repro.online.collector import HistoryCollector
 from repro.online.delays import NormalDelay
 from repro.online.runner import OnlineRunner
+from repro.service.config import ServiceConfig
 from repro.workloads.generator import generate_default_history
 from repro.workloads.list_workload import generate_list_history
 from repro.workloads.rubis import generate_rubis_history
@@ -321,14 +319,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         schedule = collector.schedule(history)
         clock = SimClock()
-        if args.shards > 1:
-            checker = ShardedAion(
-                AionConfig(timeout=args.timeout), n_shards=args.shards, clock=clock
-            )
-        elif args.level == "si":
-            checker = Aion(AionConfig(timeout=args.timeout), clock=clock)
-        else:
-            checker = AionSer(AionConfig(timeout=args.timeout), clock=clock)
+        checker = ServiceConfig(
+            level=args.level, n_shards=args.shards, timeout=args.timeout
+        ).build_checker(clock=clock)
         runner = OnlineRunner(checker, clock)
         if args.batch_size > 0:
             report = runner.run_capacity_batched(schedule, batch_size=args.batch_size)
@@ -372,7 +365,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.service import CheckerService, ServiceConfig
+    from repro.service import CheckerService
 
     if args.no_tcp and args.unix is None:
         print("--no-tcp requires --unix", file=sys.stderr)

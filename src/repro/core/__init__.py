@@ -8,8 +8,11 @@
   timestamps ignored).
 - :mod:`repro.core.aion` — **Aion**, the online SI checker (Algorithm 3):
   incremental checking under out-of-order arrival with timestamp-versioned
-  structures, EXT re-checking with timeouts, and conservative GC.
-- :mod:`repro.core.aion_ser` — **Aion-SER**, the online SER checker.
+  structures, EXT re-checking with timeouts, and conservative GC.  Its one
+  batch kernel and per-op reference are parameterized by an axiom profile
+  (:class:`~repro.core.kernel.AxiomProfile`, SI or SER).
+- :mod:`repro.core.aion_ser` — **Aion-SER**, the online SER checker:
+  Aion under the SER profile.
 - :mod:`repro.core.sharded` — **ShardedAion**, the sharded, batch-oriented
   ingestion frontend with Aion-identical verdicts.
 - :mod:`repro.core.reference` — a slow replay oracle used by the test

@@ -1,4 +1,4 @@
-"""Aion — the online timestamp-based SI checker (Algorithm 3).
+"""Aion — the online timestamp-based isolation checker (Algorithm 3).
 
 Aion receives committed transactions one at a time, in an order that
 respects each session but is otherwise arbitrary (asynchrony may deliver
@@ -37,6 +37,13 @@ transaction forces a query below the in-memory boundary.
 Per-arrival complexity is ``O(log N + M)`` plus the size of the affected
 re-check sets (§III-C4).
 
+One body checks both isolation levels.  The class-level
+:attr:`Aion.profile` (:class:`~repro.core.kernel.AxiomProfile`) names the
+places where SER differs from SI (§VI): the snapshot point, the strict
+visibility floor and upper-inclusive step-③ range that come with it, the
+absence of step ②, and whether Eq. 1 rejects.
+:class:`~repro.core.aion_ser.AionSer` is this class under the SER profile.
+
 Scope note: list (append) operations are supported offline by Chronos;
 online re-resolution of appends under asynchrony cascades and is left as
 the paper leaves it (the online evaluation, §VI, uses key-value
@@ -49,7 +56,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, DefaultDict, Dict, List, Optional, Tuple
 
 from repro.core.common import BOTTOM, SessionTracker, simulate_transaction_ops, values_match
 from repro.core.ext_status import (
@@ -62,7 +69,13 @@ from repro.core.ext_status import (
     ExtVerdict,
     FlipFlopStats,
 )
-from repro.core.kernel import KernelStats, resolve_columns, resolve_writes
+from repro.core.kernel import (
+    SI_PROFILE,
+    AxiomProfile,
+    KernelStats,
+    resolve_columns,
+    resolve_writes,
+)
 from repro.core.spill import SpillStore
 from repro.core.versioned import (
     ExtReadIndex,
@@ -85,6 +98,11 @@ from repro.util.sizeof import deep_sizeof
 from repro.util.sortedmap import SortedMap
 
 __all__ = ["Aion", "AionConfig", "GcReport"]
+
+_APPEND_REJECTED = (
+    "Aion checks key-value histories online; list (append) histories are "
+    "checked offline by Chronos"
+)
 
 
 @dataclass
@@ -123,6 +141,9 @@ class GcReport:
 class Aion:
     """Online SI checker over key-value histories.
 
+    Subclasses change the isolation level by overriding :attr:`profile`
+    alone (see :class:`~repro.core.aion_ser.AionSer`).
+
     Parameters
     ----------
     config:
@@ -133,6 +154,9 @@ class Aion:
         injects a virtual clock so timeout behaviour is deterministic.
     """
 
+    #: The axioms this checker enforces.
+    profile: ClassVar[AxiomProfile] = SI_PROFILE
+
     def __init__(
         self,
         config: Optional[AionConfig] = None,
@@ -142,9 +166,11 @@ class Aion:
         self.config = config or AionConfig()
         self._clock = clock if clock is not None else time.monotonic
         self._frontier = VersionedFrontier()
+        #: Step-② writer lifetimes; never touched when the profile has
+        #: no NOCONFLICT step.
         self._writers = WriterIntervals()
         self._ext_reads = ExtReadIndex()
-        self._sessions = SessionTracker(mode="si")
+        self._sessions = SessionTracker(mode=self.profile.session_mode)
         self._ext = ExtStatusTracker(
             timeout=self.config.timeout,
             on_violation=self._report_ext_violation,
@@ -170,14 +196,15 @@ class Aion:
     # ------------------------------------------------------------------
 
     def receive(self, txn: Transaction) -> None:
-        """Process one incoming transaction (ONLINE_CHECK_SI, Algorithm 3).
+        """Process one incoming transaction (Algorithm 3, per :attr:`profile`).
 
-        The single-arrival twin of :meth:`receive_many`: identical
-        semantics (the differential suite asserts it), but paying the
-        clock read, timer-queue advancement, deadline arming, and
-        structure lookups per call — a batch can amortize those, one
-        arrival cannot.
+        The per-op reference of :meth:`receive_many`, for both axiom
+        profiles: identical semantics (the differential suite asserts
+        it), but paying the clock read, timer-queue advancement, deadline
+        arming, and structure lookups per call — a batch can amortize
+        those, one arrival cannot.
         """
+        profile = self.profile
         now = self._clock()
         self._ext.advance_to(now)
 
@@ -190,18 +217,17 @@ class Aion:
                     commit_ts=txn.commit_ts,
                 )
             )
-            return
+            if profile.rejects_ts_order:
+                return
 
         for op in txn.ops:
             if op.kind is OpKind.APPEND:
-                raise ValueError(
-                    "Aion checks key-value histories online; list (append) "
-                    "histories are checked offline by Chronos"
-                )
+                raise ValueError(_APPEND_REJECTED)
 
+        snapshot_ts = txn.commit_ts if profile.commit_snapshot else txn.start_ts
         # Severely delayed transaction below the GC boundary: restore ALL
         # spilled state (reload-on-demand, ▧); see receive_many.
-        if self._collected_upto is not None and txn.start_ts <= self._collected_upto:
+        if self._collected_upto is not None and snapshot_ts <= self._collected_upto:
             self._reload_below(None)
 
         violation = self._sessions.observe(txn)  # lines 3:7–3:10
@@ -213,27 +239,28 @@ class Aion:
         # ---- step ①: INT immediately, EXT tentatively (lines 3:11–3:25).
         writes = simulate_transaction_ops(
             txn,
-            lambda key: self._visible_value(key, txn.start_ts),
+            lambda key: self._visible_value(key, snapshot_ts),
             lambda key, exp, act: None,  # EXT handled below with tracking
             lambda key, exp, act: self._report(
                 IntViolation(axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act)
             ),
         )
         for key, op in txn.external_reads.items():
-            expected = self._visible_value(key, txn.start_ts)
+            expected = self._visible_value(key, snapshot_ts)
             self._ext.track(
-                tid, key, txn.start_ts, op.value, ok=values_match(expected, op.value),
+                tid, key, snapshot_ts, op.value, ok=values_match(expected, op.value),
                 expected=expected, now=now,
             )
-            self._ext_reads.add(key, txn.start_ts, tid, op.value)
+            self._ext_reads.add(key, snapshot_ts, tid, op.value)
 
         # ---- step ②: NOCONFLICT re-check via interval overlap.
-        for key in writes:
-            for hit in self._writers.overlapping(
-                key, txn.start_ts, txn.commit_ts, exclude_tid=tid
-            ):
-                self._report_conflict(txn, hit.owner, hit.end, key)
-            self._writers.add(key, txn.start_ts, txn.commit_ts, tid)
+        if profile.no_conflict:
+            for key in writes:
+                for hit in self._writers.overlapping(
+                    key, txn.start_ts, txn.commit_ts, exclude_tid=tid
+                ):
+                    self._report_conflict(txn, hit.owner, hit.end, key)
+                self._writers.add(key, txn.start_ts, txn.commit_ts, tid)
 
         # ---- step ③: EXT re-check for snapshots that now see T's writes.
         for key, value in writes.items():
@@ -241,18 +268,18 @@ class Aion:
             next_ts = nxt[0] if nxt is not None else None
             if self.config.optimized_recheck:
                 for _, reader_tid, actual in self._ext_reads.affected_by(
-                    key, txn.commit_ts, next_ts
+                    key, txn.commit_ts, next_ts, upper_inclusive=profile.commit_snapshot
                 ):
                     if reader_tid == tid:
                         continue
                     self._ext.reevaluate(reader_tid, key, actual == value, value, now)
             else:
-                for snapshot_ts, reader_tid, actual in self._ext_reads.affected_by(
+                for reader_ts, reader_tid, actual in self._ext_reads.affected_by(
                     key, 0, None
                 ):
                     if reader_tid == tid:
                         continue
-                    expected = self._visible_value(key, snapshot_ts)
+                    expected = self._visible_value(key, reader_ts)
                     self._ext.reevaluate(
                         reader_tid, key, values_match(expected, actual), expected, now
                     )
@@ -288,6 +315,10 @@ class Aion:
         the batch in arrival order emitting violations and applying
         re-evaluations, so reported order matches the per-op path.
 
+        The axiom :attr:`profile` is read once per batch: it picks the
+        snapshot point in the route pass and the floor, re-check range
+        and writer step of the probe pass.
+
         Correctness rests on the same argument as ShardedAion's command
         streams: per-key operations preserve arrival order within each
         stream (a transaction's reads precede its writes, matching steps
@@ -304,27 +335,23 @@ class Aion:
         batch = txns if isinstance(txns, ColumnarBatch) else None
         if batch is not None:
             if batch.has_appends:
-                raise ValueError(
-                    "Aion checks key-value histories online; list (append) "
-                    "histories are checked offline by Chronos"
-                )
+                raise ValueError(_APPEND_REJECTED)
         else:
             if not isinstance(txns, (list, tuple)):
                 txns = list(txns)
             for txn in txns:
                 for op in txn.ops:
                     if op.kind is OpKind.APPEND:
-                        raise ValueError(
-                            "Aion checks key-value histories online; list (append) "
-                            "histories are checked offline by Chronos"
-                        )
+                        raise ValueError(_APPEND_REJECTED)
         now = self._clock()
         ext = self._ext
         ext.advance_to(now)
         if not txns:
             return
+        profile = self.profile
+        commit_snapshot = profile.commit_snapshot
+        rejects_ts_order = profile.rejects_ts_order
         optimized = self.config.optimized_recheck
-        collected = self._collected_upto
         stats = self._kernel_stats
         perf_counter = time.perf_counter
         timing = stats.timing_enabled()
@@ -335,55 +362,6 @@ class Aion:
         stats.txns += n
         if n > stats.max_batch:
             stats.max_batch = n
-
-        # Reload-on-demand (▧), hoisted to the batch boundary: a severely
-        # delayed transaction below the GC boundary forces ALL spilled
-        # state back (the step-③ re-check range is bounded by *next*
-        # versions, which may sit in higher segments), and the ablation
-        # re-checks arbitrarily old snapshot points on every write.
-        # Reloading before the batch instead of at the transaction's
-        # sequence point is verdict-equivalent: reloaded data is strictly
-        # older than each key's retained newest-evictable version, so no
-        # floor/successor query issued by the preceding above-boundary
-        # transactions can observe it.
-        if self._spill is not None and len(self._spill) > 0:
-            need_reload = False
-            if batch is not None:
-                starts = batch.starts
-                commits = batch.commits
-                offsets = batch.op_offsets
-                kinds = batch.op_kinds
-                if collected is not None:
-                    for position in range(n):
-                        start_ts = starts[position]
-                        if start_ts <= collected and start_ts <= commits[position]:
-                            need_reload = True
-                            break
-                if not need_reload and not optimized:
-                    for position in range(n):
-                        if starts[position] > commits[position]:
-                            continue
-                        if 1 in kinds[offsets[position] : offsets[position + 1]]:
-                            need_reload = True
-                            break
-            else:
-                if collected is not None:
-                    for txn in txns:
-                        if txn.start_ts <= collected and txn.start_ts <= txn.commit_ts:
-                            need_reload = True
-                            break
-                if not need_reload and not optimized:
-                    for txn in txns:
-                        if txn.start_ts > txn.commit_ts:
-                            continue
-                        for op in txn.ops:
-                            if op.kind is OpKind.WRITE:
-                                need_reload = True
-                                break
-                        if need_reload:
-                            break
-            if need_reload:
-                self._reload_below(None)
 
         # ---- route: decode into flat parallel arrays + per-key streams.
         t_route0 = perf_counter() if timing else 0.0
@@ -409,10 +387,11 @@ class Aion:
         w_starts_append = w_starts.append
         w_cts_append = w_cts.append
         w_tids_append = w_tids.append
-        # Per txn: (txn, pre-violations, w_lo, w_hi) — or None for Eq. 1
-        # rejects, which own no probe work (their pre-violation is kept in
-        # batch position so report order matches the per-op path).
-        entries: List[Tuple[Transaction, Optional[List[Violation]], int, int]] = []
+        # Per checked txn: (txn, snapshot point, pre-violations, w_lo,
+        # w_hi).  Eq. 1 rejects own no probe work and no entry (their
+        # violation is kept in batch position so report order matches the
+        # per-op path).
+        entries: List[Tuple[Transaction, int, Optional[List[Violation]], int, int]] = []
         rejected: Dict[int, Violation] = {}
         if batch is not None:
             # Columnar arrivals (wire frames, packed WALs): route straight
@@ -437,35 +416,30 @@ class Aion:
                 lo = offsets_col[position]
                 hi = offsets_col[position + 1]
                 stats.route_ops += hi - lo
+                pre: Optional[List[Violation]] = None
                 if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
-                    rejected[position] = TimestampOrderViolation(
+                    violation = TimestampOrderViolation(
                         axiom=Axiom.TS_ORDER,
                         tid=tid,
                         start_ts=start_ts,
                         commit_ts=commit_ts,
                     )
-                    continue
+                    if rejects_ts_order:
+                        rejected[position] = violation
+                        continue
+                    pre = [violation]
+                snapshot_ts = commit_ts if commit_snapshot else start_ts
                 txn = transaction_at(position)
                 violation = sessions.observe(txn)  # lines 3:7–3:10
                 external, writes, int_mismatches = resolve_columns(
                     kinds_col, keys_col, vals_col, lo, hi
                 )
-                pre: Optional[List[Violation]] = None
                 if violation is not None or int_mismatches is not None:
-                    pre = []
-                    if violation is not None:
-                        pre.append(violation)
-                    if int_mismatches is not None:
-                        for key, exp, act in int_mismatches:
-                            pre.append(
-                                IntViolation(
-                                    axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act
-                                )
-                            )
+                    pre = _pre_violations(pre, violation, int_mismatches, tid)
                 for key, value in external:
                     key_streams[key].append(len(r_keys) << 1)
                     r_keys_append(key)
-                    r_ts_append(start_ts)
+                    r_ts_append(snapshot_ts)
                     r_tids_append(tid)
                     r_vals_append(value)
                 w_lo = len(w_keys)
@@ -476,39 +450,34 @@ class Aion:
                     w_starts_append(start_ts)
                     w_cts_append(commit_ts)
                     w_tids_append(tid)
-                entries.append((txn, pre, w_lo, len(w_keys)))
+                entries.append((txn, snapshot_ts, pre, w_lo, len(w_keys)))
         else:
             for position, txn in enumerate(txns):
                 tid = txn.tid
                 start_ts = txn.start_ts
                 commit_ts = txn.commit_ts
                 stats.route_ops += len(txn.ops)
+                pre = None
                 if start_ts > commit_ts:  # Eq. 1 (lines 3:4–3:5)
-                    rejected[position] = TimestampOrderViolation(
+                    violation = TimestampOrderViolation(
                         axiom=Axiom.TS_ORDER,
                         tid=tid,
                         start_ts=start_ts,
                         commit_ts=commit_ts,
                     )
-                    continue
+                    if rejects_ts_order:
+                        rejected[position] = violation
+                        continue
+                    pre = [violation]
+                snapshot_ts = commit_ts if commit_snapshot else start_ts
                 violation = sessions.observe(txn)  # lines 3:7–3:10
                 writes, int_mismatches = resolve_writes(txn.ops)
-                pre = None
                 if violation is not None or int_mismatches is not None:
-                    pre = []
-                    if violation is not None:
-                        pre.append(violation)
-                    if int_mismatches is not None:
-                        for key, exp, act in int_mismatches:
-                            pre.append(
-                                IntViolation(
-                                    axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act
-                                )
-                            )
+                    pre = _pre_violations(pre, violation, int_mismatches, tid)
                 for key, op in txn.external_reads.items():
                     key_streams[key].append(len(r_keys) << 1)
                     r_keys_append(key)
-                    r_ts_append(start_ts)
+                    r_ts_append(snapshot_ts)
                     r_tids_append(tid)
                     r_vals_append(op.value)
                 w_lo = len(w_keys)
@@ -519,7 +488,7 @@ class Aion:
                     w_starts_append(start_ts)
                     w_cts_append(commit_ts)
                     w_tids_append(tid)
-                entries.append((txn, pre, w_lo, len(w_keys)))
+                entries.append((txn, snapshot_ts, pre, w_lo, len(w_keys)))
 
         n_reads = len(r_keys)
         n_writes = len(w_keys)
@@ -531,12 +500,31 @@ class Aion:
         else:
             t_probe0 = 0.0
 
+        # Reload-on-demand (▧), hoisted to the batch boundary: a severely
+        # delayed transaction below the GC boundary forces ALL spilled
+        # state back (the step-③ re-check range is bounded by *next*
+        # versions, which may sit in higher segments), and the ablation
+        # re-checks arbitrarily old snapshot points on every write.
+        # Reloading at the head of the probe pass instead of at the
+        # transaction's sequence point is verdict-equivalent: the route
+        # pass touches no versioned structure, and reloaded data is
+        # strictly older than each key's retained newest-evictable
+        # version, so no floor/successor query issued by the preceding
+        # above-boundary transactions can observe it.
+        if self._spill is not None and len(self._spill) > 0:
+            collected = self._collected_upto
+            if (not optimized and w_keys) or (
+                collected is not None
+                and any(entry[1] <= collected for entry in entries)
+            ):
+                self._reload_below(None)
+
         # ---- frontier probe: per-key streams in arrival order, executed
         # by the versioned layer's columnar kernel (one representation
         # fetch per key instead of one per op — see probe_columns).
         r_expected, w_conflicts, w_reevals = probe_columns(
             self._frontier,
-            self._writers,
+            self._writers if profile.no_conflict else None,
             self._ext_reads,
             key_streams,
             r_ts,
@@ -547,6 +535,7 @@ class Aion:
             w_cts,
             w_tids,
             optimized,
+            commit_snapshot,
             BOTTOM,
         )
         if timing:
@@ -575,7 +564,7 @@ class Aion:
             if reject is not None:
                 report(reject)
                 continue
-            txn, pre, w_lo, w_hi = entries[cursor]
+            txn, _snapshot_ts, pre, w_lo, w_hi = entries[cursor]
             cursor += 1
             if pre is not None:
                 for violation in pre:
@@ -620,7 +609,7 @@ class Aion:
                 )[:5]
                 stats.record_slow(
                     {
-                        "checker": "aion",
+                        "checker": profile.name,
                         "seconds": round(total, 6),
                         "batch_txns": n,
                         "reads": n_reads,
@@ -836,18 +825,24 @@ class Aion:
     # ------------------------------------------------------------------
 
     def _visible_value(self, key: str, ts: int) -> Any:
-        version = self._frontier.latest_at(key, ts)
+        """The value a snapshot at ``ts`` observes: the greatest version at
+        or below ``ts`` — strictly below under a commit-point profile."""
+        strict = self.profile.commit_snapshot
+        floor = self._frontier.latest_before if strict else self._frontier.latest_at
+        version = floor(key, ts)
         # A floor below the collected boundary may be stale (or absent):
-        # newer versions still <= ts can live in spilled segments.
+        # newer visible versions can live in spilled segments.
         if (
             self._spill is not None
             and self._collected_upto is not None
             and ts <= self._collected_upto
         ):
             spilled_min = self._spill.min_spilled_ts()
-            if spilled_min is not None and spilled_min <= ts:
+            if spilled_min is not None and (
+                spilled_min < ts if strict else spilled_min <= ts
+            ):
                 self._reload_below(ts)
-                version = self._frontier.latest_at(key, ts)
+                version = floor(key, ts)
         return BOTTOM if version is None else version[1]
 
     def _reload_below(self, ts: Optional[int]) -> None:
@@ -906,6 +901,26 @@ class Aion:
         ext_reads.remove_batch(
             [(v[EV_KEY], v[EV_SNAPSHOT_TS], v[EV_TID]) for v in verdicts]
         )
+
+
+def _pre_violations(
+    pre: Optional[List[Violation]],
+    session_violation: Optional[Violation],
+    int_mismatches: Optional[List[Tuple[str, Any, Any]]],
+    tid: int,
+) -> List[Violation]:
+    """Append one transaction's SESSION and INT violations to ``pre`` (its
+    Eq. 1 report, if any), in the order the per-op path reports them."""
+    if pre is None:
+        pre = []
+    if session_violation is not None:
+        pre.append(session_violation)
+    if int_mismatches is not None:
+        for key, exp, act in int_mismatches:
+            pre.append(
+                IntViolation(axiom=Axiom.INT, tid=tid, key=key, expected=exp, actual=act)
+            )
+    return pre
 
 
 class _TidMax:

@@ -1,14 +1,18 @@
 """Shared pieces of the staged batch ingestion kernel.
 
-The checkers' ``receive_many`` hot paths share one shape (PR 6): a
+The checkers' ``receive_many`` hot paths share one shape: a
 **route** pass decodes an arrival batch into flat parallel op arrays and
 per-key groupings, a **frontier probe** pass walks those arrays against
 the versioned structures, and a **verdict** pass applies the collected
 results — tracking, re-evaluations, conflict reports — in arrival order.
-This module holds the pieces common to :class:`~repro.core.aion.Aion`,
-:class:`~repro.core.aion_ser.AionSer`, and
-:class:`~repro.core.sharded.ShardedAion`:
+:class:`~repro.core.aion.Aion` runs that kernel once, for both isolation
+levels; :class:`~repro.core.sharded.ShardedAion` distributes the same
+shape over shard states.  This module holds the pieces they share:
 
+- :class:`AxiomProfile` — the handful of places where SI and SER checking
+  differ (§VI), as a class-level constant of each online checker:
+  :data:`SI_PROFILE` for :class:`~repro.core.aion.Aion`,
+  :data:`SER_PROFILE` for :class:`~repro.core.aion_ser.AionSer`.
 - :class:`KernelStats` — per-stage operation counters, exposed through
   each checker's ``kernel_stats`` property and the service ``STATS``
   response, so the hot path is observable without a profiler (and so CI
@@ -22,11 +26,64 @@ This module holds the pieces common to :class:`~repro.core.aion.Aion`,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.histories.model import OpKind, Operation
 
-__all__ = ["KernelStats", "resolve_writes", "resolve_columns"]
+__all__ = [
+    "AxiomProfile",
+    "KernelStats",
+    "SER_PROFILE",
+    "SI_PROFILE",
+    "resolve_columns",
+    "resolve_writes",
+]
+
+
+@dataclass(frozen=True)
+class AxiomProfile:
+    """The axioms one isolation level asks of the online kernel.
+
+    Aion-SER is Aion with three changes (§VI): the snapshot point moves
+    from the start to the commit timestamp, NOCONFLICT is off, and Eq. 1
+    no longer rejects a transaction.  Everything else — route, probe,
+    verdict, EXT timers, GC, spill and reload — is shared.
+    """
+
+    #: Checker tag in slow-batch trace records.
+    name: str
+    #: :class:`~repro.core.common.SessionTracker` mode.
+    session_mode: str
+    #: The snapshot point is the commit timestamp (else the start
+    #: timestamp).  A reader at its own commit point sees the greatest
+    #: version *strictly* below it, so the visibility floor is strict and
+    #: the step-③ re-check range ``[version, next-version]`` includes its
+    #: upper end: the reader committing exactly at the next version is
+    #: that version's own writer and still sees the inserted one.
+    commit_snapshot: bool
+    #: Step ② runs: NOCONFLICT via the writer-interval index.
+    no_conflict: bool
+    #: Eq. 1 (``start_ts > commit_ts``) rejects the transaction.  When
+    #: False it is reported and the transaction is still checked at its
+    #: commit point, since serial order ignores start timestamps.
+    rejects_ts_order: bool
+
+
+SI_PROFILE = AxiomProfile(
+    name="aion",
+    session_mode="si",
+    commit_snapshot=False,
+    no_conflict=True,
+    rejects_ts_order=True,
+)
+SER_PROFILE = AxiomProfile(
+    name="aion-ser",
+    session_mode="ser",
+    commit_snapshot=True,
+    no_conflict=False,
+    rejects_ts_order=False,
+)
 
 
 class KernelStats:

@@ -180,27 +180,6 @@ class VersionedFrontier:
         commit_ts, (value, tid) = item
         return (commit_ts, value, tid)
 
-    def value_before(self, key: str, ts: int, default: Any = None) -> Any:
-        """The strict-predecessor *value* at ``ts``, or ``default``.
-
-        Equivalent to ``latest_before(key, ts)[1]`` without materializing
-        the version tuple — the Aion-SER batch kernel issues this query
-        per external read.
-        """
-        versions = self._by_key.get(key)
-        if versions is None:
-            return default
-        if type(versions) is tuple:
-            timestamps = versions[0]
-            j = bisect_left(timestamps, ts) - 1
-            if j < 0:
-                return default
-            return versions[1][j][0]
-        item = versions.lower_item(ts)
-        if item is None:
-            return default
-        return item[1][0]
-
     def next_after(self, key: str, ts: int) -> Optional[FrontierVersion]:
         """Least version with ``commit_ts > ts`` (the overwriting version)."""
         versions = self._by_key.get(key)
@@ -912,7 +891,7 @@ class ExtReadIndex:
 
 def probe_columns(
     frontier: "VersionedFrontier",
-    writers: "WriterIntervals",
+    writers: Optional["WriterIntervals"],
     ext_reads: "ExtReadIndex",
     key_streams: Dict[str, List[int]],
     r_ts: List[int],
@@ -923,18 +902,26 @@ def probe_columns(
     w_cts: List[int],
     w_tids: List[int],
     optimized: bool,
+    strict: bool,
     bottom: Any,
 ) -> Tuple[List[Any], List[Optional[List[Tuple[int, int]]]], List[Optional[list]]]:
     """Execute the batch kernel's frontier-probe pass over per-key streams.
 
     ``key_streams`` maps each key to its arrival-ordered op stream:
     ``index << 1`` encodes the external read at flat position ``index``,
-    ``index << 1 | 1`` the write at that position.  The SI semantics are
-    exactly those of :meth:`VersionedFrontier.value_at` +
+    ``index << 1 | 1`` the write at that position.  The semantics are
+    exactly those of :meth:`VersionedFrontier.latest_at` +
     :meth:`ExtReadIndex.add` per read and
     :meth:`WriterIntervals.overlap_add` +
     :meth:`VersionedFrontier.insert_and_next_ts` +
     :meth:`ExtReadIndex.collect_affected` per write, in stream order.
+
+    Both axiom profiles run this one pass; the profile is fixed once per
+    batch, never per op.  SI passes ``strict=False`` and the writer
+    index.  SER passes ``strict=True``, which makes the visibility floor
+    strict (:meth:`VersionedFrontier.latest_before`) and the step-③
+    re-check range upper-inclusive, and ``writers=None``, which skips
+    step ② and leaves every ``w_conflicts`` slot ``None``.
 
     The pass lives here rather than in the checker because this layer
     owns all three per-key structures: each key's representation is
@@ -958,16 +945,26 @@ def probe_columns(
     f_by_key = frontier._by_key
     f_gc_pending = frontier._gc_pending
     e_by_key = ext_reads._by_key
-    w_by_key = writers._by_key
-    w_gc_pending = writers._gc_pending
-    value_at = frontier.value_at
     collect_affected = ext_reads.collect_affected
+    if strict:  # visible: commit_ts < snapshot; re-check [cts, next]
+        floor_bisect, floor_item = bisect_left, SortedMap.lower_item
+        ceiling_bisect = bisect_right
+        latest = frontier.latest_before
+    else:  # visible: commit_ts <= snapshot; re-check [cts, next)
+        floor_bisect, floor_item = bisect_right, SortedMap.floor_item
+        ceiling_bisect = bisect_left
+        latest = frontier.latest_at
+    if writers is not None:
+        w_by_key = writers._by_key
+        w_gc_pending = writers._gc_pending
     new_versions = 0
 
     for key, stream in key_streams.items():
         fv = f_by_key.get(key)
         ev = e_by_key.get(key)
-        iv = w_by_key.get(key)
+        # ``False`` marks "no writer index": it falls through every
+        # step-② branch, so SI pays no per-op profile test.
+        iv = w_by_key.get(key) if writers is not None else False
         for code in stream:
             index = code >> 1
             if code & 1:
@@ -978,6 +975,7 @@ def probe_columns(
                 start_ts = w_starts[index]
                 if iv is None:
                     iv = w_by_key[key] = ([commit_ts], [start_ts], [tid])
+                    w_gc_pending.append((commit_ts, key))
                 elif type(iv) is tuple:
                     ends, i_starts, owners = iv
                     hits = None
@@ -1001,11 +999,12 @@ def probe_columns(
                         iv = w_by_key[key] = WriterIntervals._promote(
                             ends, i_starts, owners
                         )
-                else:
+                    w_gc_pending.append((commit_ts, key))
+                elif iv is not False:
                     hits = iv.overlap_add(start_ts, commit_ts, tid)
                     if hits:
                         w_conflicts[index] = hits
-                w_gc_pending.append((commit_ts, key))
+                    w_gc_pending.append((commit_ts, key))
                 # Inline twin of insert_and_next_ts.
                 payload = (w_vals[index], tid)
                 if fv is None:
@@ -1039,7 +1038,7 @@ def probe_columns(
                     nxt_ts = None if successor is None else successor[0]
                 if optimized:
                     # Inline twin of collect_affected for the small rep
-                    # (``ev`` is already in hand; upper bound exclusive).
+                    # (``ev`` is already in hand).
                     if ev is None:
                         pass
                     elif type(ev) is tuple:
@@ -1048,7 +1047,7 @@ def probe_columns(
                         hi = (
                             len(ts_list)
                             if nxt_ts is None
-                            else bisect_left(ts_list, nxt_ts)
+                            else ceiling_bisect(ts_list, nxt_ts)
                         )
                         if lo < hi:
                             out = []
@@ -1064,7 +1063,9 @@ def probe_columns(
                             if out:
                                 w_reevals[index] = out
                     else:
-                        affected = collect_affected(key, commit_ts, nxt_ts, tid)
+                        affected = collect_affected(
+                            key, commit_ts, nxt_ts, tid, upper_inclusive=strict
+                        )
                         if affected:
                             w_reevals[index] = affected
                 else:
@@ -1074,21 +1075,23 @@ def probe_columns(
                     # point of the key's stream.
                     affected = collect_affected(key, 0, None, tid)
                     if affected:
-                        w_reevals[index] = [
-                            (value_at(key, sts, bottom), reader_tid, actual)
-                            for sts, reader_tid, actual in affected
-                        ]
+                        rows = w_reevals[index] = []
+                        for sts, reader_tid, actual in affected:
+                            version = latest(key, sts)
+                            expected = bottom if version is None else version[1]
+                            rows.append((expected, reader_tid, actual))
             else:
-                # ---- read: step ①, inline twins of value_at + add.
+                # ---- read: step ①, inline twins of latest_at (or
+                # latest_before) + add.
                 snapshot_ts = r_ts[index]
                 if fv is None:
                     r_expected[index] = bottom
                 elif type(fv) is tuple:
                     timestamps = fv[0]
-                    j = bisect_right(timestamps, snapshot_ts) - 1
+                    j = floor_bisect(timestamps, snapshot_ts) - 1
                     r_expected[index] = fv[1][j][0] if j >= 0 else bottom
                 else:
-                    item = fv.floor_item(snapshot_ts)
+                    item = floor_item(fv, snapshot_ts)
                     r_expected[index] = bottom if item is None else item[1][0]
                 pair = (r_tids[index], r_vals[index])
                 if ev is None:
@@ -1118,7 +1121,8 @@ def probe_columns(
                             ev[snapshot_ts] = [got, pair]
 
     frontier._n_versions += new_versions
-    writers._n_intervals += n_writes
+    if writers is not None:
+        writers._n_intervals += n_writes
     ext_reads._n_reads += n_reads
     return r_expected, w_conflicts, w_reevals
 

@@ -21,7 +21,7 @@ from repro.core.sharded import ShardedAion
 
 __all__ = ["ServiceConfig"]
 
-OnlineCheckerT = Union[Aion, AionSer, ShardedAion]
+OnlineCheckerT = Union[Aion, ShardedAion]
 
 
 @dataclass

@@ -53,7 +53,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.violations import CheckResult
 from repro.histories.model import Transaction
@@ -1655,6 +1655,9 @@ class ServiceThread:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        #: The stop/abort task scheduled by :meth:`_begin` (held so the
+        #: loop's weak task set is not its only reference).
+        self._stop_task: Optional[asyncio.Task] = None
 
     def start(self, timeout: float = 30.0) -> "ServiceThread":
         self._thread = threading.Thread(target=self._run, name="repro-service", daemon=True)
@@ -1699,14 +1702,8 @@ class ServiceThread:
         """Gracefully stop the daemon; returns the final result."""
         if self._thread is None or self.service is None:
             return None
-        if self._thread.is_alive() and self._loop is not None:
-            try:
-                future = asyncio.run_coroutine_threadsafe(self.service.shutdown(), self._loop)
-                future.result(timeout)
-            except RuntimeError:
-                # The loop already exited (a client shut the daemon down).
-                pass
-        self._thread.join(timeout)
+        self._begin(self.service.shutdown)
+        self._join(timeout)
         return self.service.final_result
 
     def kill(self, timeout: float = 10.0) -> None:
@@ -1718,14 +1715,36 @@ class ServiceThread:
         """
         if self._thread is None or self.service is None:
             return
-        if self._thread.is_alive() and self._loop is not None:
-            try:
-                future = asyncio.run_coroutine_threadsafe(self.service.abort(), self._loop)
-                future.result(timeout)
-            except RuntimeError:
-                # The loop already exited (a client shut the daemon down).
-                pass
+        self._begin(self.service.abort)
+        self._join(timeout)
+
+    def _begin(self, stop: Callable[[], Awaitable[Any]]) -> None:
+        """Start ``stop()`` on the daemon loop without waiting for it.
+
+        Completion is observed through the thread's exit, never through
+        the coroutine's future: a wire ``shutdown`` already tearing the
+        loop down may close it before the scheduled callback runs, and
+        that future would then never resolve.
+        """
+        loop = self._loop
+        if loop is None or not self._thread.is_alive():
+            return
+
+        def spawn() -> None:
+            self._stop_task = loop.create_task(stop())
+
+        try:
+            loop.call_soon_threadsafe(spawn)
+        except RuntimeError:
+            pass  # The loop already closed (a client shut the daemon down).
+
+    def _join(self, timeout: float) -> None:
         self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise TimeoutError(f"service thread did not stop within {timeout}s")
+        task = self._stop_task
+        if task is not None and task.done() and not task.cancelled():
+            task.result()  # re-raise a failed shutdown or abort
 
     def __enter__(self) -> "ServiceThread":
         return self.start()

@@ -1,11 +1,15 @@
 """Tests for Aion-SER, the online serializability checker."""
 
+import pytest
+
 from repro.core.aion_ser import AionSer
-from repro.core.aion import AionConfig
+from repro.core.aion import Aion, AionConfig
+from repro.core.colpack import pack_columnar, unpack_columnar
 from repro.core.chronos_ser import ChronosSer
 from repro.core.reference import normalize_violations
 from repro.core.violations import Axiom
 from repro.histories.builder import HistoryBuilder
+from repro.histories.model import Transaction
 from repro.histories.ops import read, write
 from repro.online.clock import SimClock
 
@@ -104,3 +108,50 @@ class TestSessionsAndTimeouts:
         offline = ChronosSer().check(si_history)
         assert normalize_violations(result) == normalize_violations(offline)
         assert not result.is_valid  # SI history is not serializable here
+
+
+class TestTimestampOrder:
+    """Eq. 1 is the one verdict where the profiles part ways on the same
+    transaction: SI rejects ``start_ts > commit_ts`` outright, SER reports
+    it and still checks the transaction at its commit point."""
+
+    @staticmethod
+    def arrivals():
+        init = Transaction(0, 0, 0, [write("x", 0)], start_ts=0, commit_ts=0)
+        # Commits at 3 but claims to start at 5; its write of x is the
+        # serial predecessor of the reader committing at 4.
+        inverted = Transaction(1, 1, 0, [write("x", 1)], start_ts=5, commit_ts=3)
+        reader = Transaction(2, 2, 0, [read("x", 1)], start_ts=1, commit_ts=4)
+        # The reader arrives first, so only the inverted writer's step-③
+        # re-check can clear its tentative EXT failure.
+        return [init, reader, inverted]
+
+    @staticmethod
+    def check(checker, route):
+        txns = TestTimestampOrder.arrivals()
+        try:
+            if route == "receive":
+                for txn in txns:
+                    checker.receive(txn)
+            elif route == "list":
+                checker.receive_many(txns)
+            else:
+                checker.receive_many(unpack_columnar(pack_columnar(txns))[0])
+            return checker.finalize(), checker.flipflop_stats.flipped_tids
+        finally:
+            checker.close()
+
+    @pytest.mark.parametrize("route", ["receive", "list", "columnar"])
+    def test_ser_reports_and_still_checks(self, route):
+        result, flipped = self.check(make_ser(), route)
+        assert [(v.axiom, v.tid) for v in result.violations] == [(Axiom.TS_ORDER, 1)]
+        assert flipped == {2}
+
+    @pytest.mark.parametrize("route", ["receive", "list", "columnar"])
+    def test_si_rejects(self, route):
+        checker = Aion(AionConfig(timeout=float("inf")), clock=lambda: 0.0)
+        result, _ = self.check(checker, route)
+        assert [(v.axiom, v.tid) for v in result.violations] == [
+            (Axiom.TS_ORDER, 1),
+            (Axiom.EXT, 2),
+        ]

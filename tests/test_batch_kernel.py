@@ -8,7 +8,9 @@ pin the refactor's whole claim: for any history (clean, fault-injected,
 or a textbook anomaly), any session-respecting arrival order, and any
 batch partition of that order — including single-transaction batches and
 batches straddling GC cycles — both paths yield the identical violation
-multiset.  The kernel's per-stage counters are pinned too: they advance
+multiset, whether each batch arrives as a list of transactions or as a
+packed columnar batch (the wire's shape).  The kernel's per-stage
+counters are pinned too: they advance
 deterministically with the routed work and never on the per-op path,
 which is what lets the benchmark smoke gate catch a silent regression
 back to per-op dispatch.
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.aion import Aion, AionConfig
 from repro.core.aion_ser import AionSer
+from repro.core.colpack import pack_columnar, unpack_columnar
 from repro.core.reference import normalize_violations
 from repro.core.sharded import ShardedAion
 from repro.histories.anomalies import ANOMALY_CATALOG
@@ -62,17 +65,21 @@ def per_op_verdicts(kind, txns, *, gc_every=None):
         checker.close()
 
 
-def kernel_verdicts(kind, txns, *, batch_size, gc_every=None):
+def kernel_verdicts(kind, txns, *, batch_size, gc_every=None, route="list"):
     """Same arrival order, partitioned into ``batch_size`` batches.
 
     ``gc_every`` counts *transactions*, matching :func:`per_op_verdicts`
-    boundaries whenever ``gc_every % batch_size == 0``.
+    boundaries whenever ``gc_every % batch_size == 0``.  ``route="columnar"``
+    hands each batch over packed and unpacked, as a wire frame arrives.
     """
     checker = make_checker(kind)
     try:
         done = 0
         for offset in range(0, len(txns), batch_size):
-            checker.receive_many(txns[offset : offset + batch_size])
+            part = txns[offset : offset + batch_size]
+            if route == "columnar":
+                part, _ = unpack_columnar(pack_columnar(part))
+            checker.receive_many(part)
             done = offset + batch_size
             if gc_every is not None and done % gc_every == 0:
                 checker.collect_below(None)
@@ -82,11 +89,15 @@ def kernel_verdicts(kind, txns, *, batch_size, gc_every=None):
 
 
 KINDS = ["aion", "aion-ablation", "ser", "sharded"]
+#: Every kind, fed lists of transactions and (``-columnar``) packed batches.
+KIND_ROUTES = [pytest.param(kind, "list", id=kind) for kind in KINDS] + [
+    pytest.param(kind, "columnar", id=f"{kind}-columnar") for kind in KINDS
+]
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind,route", KIND_ROUTES)
 @pytest.mark.parametrize("name", sorted(ANOMALY_CATALOG))
-def test_kernel_matches_per_op_on_anomaly_catalog(kind, name):
+def test_kernel_matches_per_op_on_anomaly_catalog(kind, name, route):
     """Every textbook anomaly, every arrival order of its tiny history,
     every batch split: kernel ≡ per-op."""
     history = ANOMALY_CATALOG[name].build()
@@ -94,11 +105,11 @@ def test_kernel_matches_per_op_on_anomaly_catalog(kind, name):
         arrival = session_respecting_shuffle(history, Random(shuffle_seed))
         expected = per_op_verdicts(kind, arrival)
         for batch_size in (1, 2, len(arrival)):
-            got = kernel_verdicts(kind, arrival, batch_size=batch_size)
+            got = kernel_verdicts(kind, arrival, batch_size=batch_size, route=route)
             assert got == expected, (name, shuffle_seed, batch_size)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind,route", KIND_ROUTES)
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -106,15 +117,15 @@ def test_kernel_matches_per_op_on_anomaly_catalog(kind, name):
     faults=st.integers(0, 6),
     batch_size=st.sampled_from([1, 3, 17, 500]),
 )
-def test_kernel_matches_per_op_property(kind, seed, shuffle_seed, faults, batch_size):
+def test_kernel_matches_per_op_property(kind, route, seed, shuffle_seed, faults, batch_size):
     history = small_history(seed, faults=faults)
     arrival = session_respecting_shuffle(history, Random(shuffle_seed))
     expected = per_op_verdicts(kind, arrival)
-    got = kernel_verdicts(kind, arrival, batch_size=batch_size)
+    got = kernel_verdicts(kind, arrival, batch_size=batch_size, route=route)
     assert got == expected
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind,route", KIND_ROUTES)
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -122,7 +133,9 @@ def test_kernel_matches_per_op_property(kind, seed, shuffle_seed, faults, batch_
     batch_size=st.sampled_from([5, 20]),
     cycles=st.integers(1, 4),
 )
-def test_kernel_matches_per_op_straddling_gc(kind, seed, shuffle_seed, batch_size, cycles):
+def test_kernel_matches_per_op_straddling_gc(
+    kind, route, seed, shuffle_seed, batch_size, cycles
+):
     """Batches arriving after GC cycles must reload spilled state exactly
     like the per-op path: later batches contain transactions whose
     snapshots lie below the collected boundary."""
@@ -130,7 +143,9 @@ def test_kernel_matches_per_op_straddling_gc(kind, seed, shuffle_seed, batch_siz
     history = small_history(seed)
     arrival = session_respecting_shuffle(history, Random(shuffle_seed))
     expected = per_op_verdicts(kind, arrival, gc_every=gc_every)
-    got = kernel_verdicts(kind, arrival, batch_size=batch_size, gc_every=gc_every)
+    got = kernel_verdicts(
+        kind, arrival, batch_size=batch_size, gc_every=gc_every, route=route
+    )
     assert got == expected
 
 

@@ -362,6 +362,55 @@ class TestDaemon:
         assert len(subscriber.pushed) == 1
         subscriber.close()
 
+    @staticmethod
+    def _wire_shutdown_wins_race(handle: ServiceThread) -> None:
+        """Shut ``handle`` down over the wire so that the next ``stop()`` or
+        ``kill()`` lands in the window where the loop has stopped running
+        but is not closed yet.
+
+        The loop's ``close()`` is held until that call has scheduled work
+        on it; the loop then closes without ever running that work.
+        """
+        loop = handle._loop
+        closing = threading.Event()
+        scheduled = threading.Event()
+        close = loop.close
+        call_soon_threadsafe = loop.call_soon_threadsafe
+
+        def held_close():
+            closing.set()
+            scheduled.wait(5.0)
+            close()
+
+        def noting_call_soon_threadsafe(*args, **kwargs):
+            timer = call_soon_threadsafe(*args, **kwargs)
+            if closing.is_set():
+                scheduled.set()
+            return timer
+
+        loop.close = held_close
+        loop.call_soon_threadsafe = noting_call_soon_threadsafe
+        with connect(handle) as client:
+            client.submit_many(anomaly_txns("dirty-read"))
+            final = client.shutdown()
+        assert final.counts() == {Axiom.EXT: 1}
+        assert closing.wait(10.0)
+
+    def test_stop_racing_wire_shutdown_returns_final_result(self, start_service):
+        handle = start_service()
+        self._wire_shutdown_wins_race(handle)
+        started = time.monotonic()
+        assert handle.stop(timeout=10.0).counts() == {Axiom.EXT: 1}
+        assert time.monotonic() - started < 5.0
+
+    def test_kill_racing_wire_shutdown_returns(self, start_service):
+        handle = start_service()
+        self._wire_shutdown_wins_race(handle)
+        started = time.monotonic()
+        handle.kill(timeout=10.0)
+        assert time.monotonic() - started < 5.0
+        assert handle.service.final_result.counts() == {Axiom.EXT: 1}
+
     def test_replay_helper_reports(self, start_service):
         handle = start_service()
         txns = anomaly_txns("stale-sequential-read")
